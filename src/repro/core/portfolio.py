@@ -29,9 +29,14 @@ attach (or compile) per worker instead of one per task.  The document
 itself is cached on the parent's session, so repeated batches against
 one instance serialize it once, and serial in-process runs skip the
 doc round-trip entirely.
-Workers return plain ``(relation, values)`` pairs; the parent rebuilds
-:class:`~repro.core.solution.Propagation` objects against its own
-problem, so the public surface stays object-level.
+
+Pool workers and serial runs share one solve function (:func:`_solve`).
+A serial run hands back the :class:`~repro.core.solution.Propagation`
+its solve returned, bound to the ΔV sibling it was solved on, with its
+accounting already cached.  Only pooled runs cross a process boundary:
+workers return plain ``(relation, values)`` pairs and the parent
+rebuilds propagations against its own problem, so the public surface
+stays object-level either way.
 
 The pool is **supervised** rather than fire-and-forget: tasks run as
 individual futures with per-task timeouts instead of one opaque
@@ -77,6 +82,7 @@ Exposed on the command line as ``python -m repro.cli solve
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from concurrent.futures import (
@@ -127,12 +133,29 @@ _MAX_RESPAWNS = 3
 #: is in flight.
 _TIMEOUT_GRACE = 0.5
 
-#: ``(key, wall_seconds, facts_payload | None, error | None,
-#: attempt_dicts, route | None)`` — what worker tasks and their serial
-#: twins return.  ``route`` is the dispatch route the report took
+#: ``(key, wall_seconds, propagation | None, error | None, attempts,
+#: route | None)`` — one task's outcome as :func:`_solve` returns it.
+#: ``key`` is the method name (portfolio) or the request index (ΔV
+#: batch).  ``route`` is the dispatch route the report took
 #: (``forced:<method>``, a route-table name, ``degraded:<method>``), so
 #: the serve tier's per-route histogram sees pool runs too.
+Outcome = tuple[
+    object,
+    float,
+    Propagation | None,
+    str | None,
+    tuple[AttemptRecord, ...],
+    str | None,
+]
+
+#: An :data:`Outcome` flattened for the trip back from a pool worker:
+#: the propagation becomes its sorted ``(relation, values)`` pairs and
+#: the attempt records plain dicts.
 RawOutcome = tuple[object, float, list | None, str | None, list, str | None]
+
+#: One unit of work for :func:`_run`: ``(key, method, deletions)``, with
+#: ``deletions`` ``None`` for a portfolio strategy.
+_Job = tuple[object, str, Mapping[str, list] | None]
 
 
 @dataclass(frozen=True)
@@ -236,88 +259,96 @@ def _worker_problem() -> DeletionPropagationProblem:
     return _WORKER_PROBLEM
 
 
-def _facts_payload(propagation: Propagation) -> list[tuple[str, tuple]]:
-    return [
-        (fact.relation, fact.values)
-        for fact in sorted(propagation.deleted_facts)
-    ]
-
-
-def _error_attempts(exc: Exception) -> list[dict]:
-    """The policy attempt trace attached to a failed solve, as plain
-    dicts (they cross the process boundary)."""
-    records = getattr(exc, "attempts", None) or []
-    return [record.as_dict() for record in records]
-
-
-def _solve_method_task(
-    method: str, policy: SolvePolicy | None = None
-) -> RawOutcome:
-    """Worker task: solve the cached problem with one strategy."""
-    from repro.core.faultinject import maybe_inject
-    from repro.core.registry import solve_report
-
-    start = time.perf_counter()
-    try:
-        maybe_inject("portfolio", method)
-        report = solve_report(_worker_problem(), method=method, policy=policy)
-    except Exception as exc:  # travel as text; solver errors are data here
-        return (
-            method,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    return (
-        method,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
-    )
-
-
-def _solve_delta_task(
-    index: int,
-    deletions: Mapping[str, list],
+def _solve(
+    problem: DeletionPropagationProblem | None,
+    key: object,
     method: str,
     policy: SolvePolicy | None = None,
-) -> RawOutcome:
-    """Worker task: solve one ΔV request against the cached instance.
-
-    The base problem is reconstructed once per worker (compile-once) and
-    each request rebinds only the ΔV via
+    deletions: Mapping[str, list] | None = None,
+) -> Outcome:
+    """Solve one task: ``problem`` with ``method`` or, given
+    ``deletions``, ΔV request ``key`` rebound onto ``problem`` via
     :meth:`~repro.core.problem.DeletionPropagationProblem.with_deletions`
-    — no per-task document parse, no view re-materialization.
+    (no document parse, no view re-materialization).
+
+    Failures come back as error text, never raised: solver errors are
+    data here.  The propagation carries the requested ``method`` as its
+    label (``auto`` stays ``auto``).  ``problem=None`` means this pool
+    worker's cached problem.  Portfolio tasks pass the ``portfolio``
+    fault site only there; ΔV tasks pass the ``delta`` site wherever
+    they run.
     """
     from repro.core.faultinject import maybe_inject
     from repro.core.registry import solve_report
 
     start = time.perf_counter()
     try:
-        maybe_inject("delta", index)
-        problem = _worker_problem().with_deletions(deletions)
+        if deletions is not None:
+            maybe_inject("delta", key)
+        elif problem is None:
+            maybe_inject("portfolio", key)
+        if problem is None:
+            problem = _worker_problem()
+        if deletions is not None:
+            problem = problem.with_deletions(deletions)
         report = solve_report(problem, method=method, policy=policy)
     except Exception as exc:
         return (
-            index,
+            key,
             time.perf_counter() - start,
             None,
             f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
+            tuple(getattr(exc, "attempts", None) or ()),
             None,
         )
     return (
-        index,
+        key,
         time.perf_counter() - start,
-        _facts_payload(report.propagation),
+        _labelled(report.propagation, method),
         None,
-        [record.as_dict() for record in report.attempts],
+        tuple(report.attempts),
         report.route,
     )
+
+
+def _labelled(propagation: Propagation, method: str) -> Propagation:
+    """``propagation`` under the label ``method``, keeping the accounting
+    its solve already cached (a shallow copy; the solver's object is
+    left alone)."""
+    if propagation.method == method:
+        return propagation
+    labelled = copy.copy(propagation)
+    labelled.method = method
+    return labelled
+
+
+def _flatten(outcome: Outcome) -> RawOutcome:
+    key, seconds, propagation, error, attempts, route = outcome
+    payload = None
+    if propagation is not None:
+        payload = [
+            (fact.relation, fact.values)
+            for fact in sorted(propagation.deleted_facts)
+        ]
+    return (
+        key,
+        seconds,
+        payload,
+        error,
+        [record.as_dict() for record in attempts],
+        route,
+    )
+
+
+def _solve_task(
+    key: object,
+    method: str,
+    policy: SolvePolicy | None = None,
+    deletions: Mapping[str, list] | None = None,
+) -> RawOutcome:
+    """Worker task: :func:`_solve` on this worker's cached problem,
+    flattened for the process boundary."""
+    return _flatten(_solve(None, key, method, policy, deletions))
 
 
 # ----------------------------------------------------------------------
@@ -644,78 +675,69 @@ def _session_manifest(session) -> dict | None:
 def _rebuild(
     problem: DeletionPropagationProblem,
     method: str,
-    payload: list[tuple[str, tuple]],
-) -> Propagation:
-    facts = [Fact(relation, values) for relation, values in payload]
-    return Propagation(problem, facts, method=method)
+    raw: RawOutcome,
+    deletions: Mapping[str, list] | None,
+) -> Outcome:
+    """A pooled task's flattened outcome, bound back to ``problem`` (or,
+    for a ΔV task, to the parent's sibling carrying ``deletions``)."""
+    key, seconds, payload, error, attempts, route = raw
+    propagation = None
+    if payload is not None:
+        if deletions is not None:
+            problem = problem.with_deletions(deletions)
+        facts = [Fact(relation, values) for relation, values in payload]
+        propagation = Propagation(problem, facts, method=method)
+    records = tuple(AttemptRecord.from_dict(doc) for doc in attempts)
+    return key, seconds, propagation, error, records, route
 
 
-def _attempt_records(attempts: Iterable[dict]) -> tuple[AttemptRecord, ...]:
-    return tuple(AttemptRecord.from_dict(doc) for doc in attempts)
-
-
-def _solve_method_serial(
+def _run(
     problem: DeletionPropagationProblem,
-    method: str,
-    policy: SolvePolicy | None = None,
-) -> RawOutcome:
-    """In-process twin of :func:`_solve_method_task` bound to an
-    explicit problem (must not touch the worker-global cache)."""
-    from repro.core.registry import solve_report
+    jobs: Sequence[_Job],
+    max_workers: int | None,
+    policy: SolvePolicy | None,
+) -> list[Outcome]:
+    """One outcome per job, in job order.
 
-    start = time.perf_counter()
-    try:
-        report = solve_report(problem, method=method, policy=policy)
-    except Exception as exc:
-        return (
-            method,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
+    Runs in process when ``max_workers`` leaves no pool (``<= 0``) or
+    there is a single job, handing back the propagations the solves
+    returned.  Otherwise the jobs run on the supervised pool (default:
+    one worker per job, capped at the CPU count) and only their payloads
+    are rebuilt here.
+    """
+    if max_workers is None:
+        max_workers = min(len(jobs), os.cpu_count() or 1)
+    if max_workers <= 0 or len(jobs) <= 1:
+        return [
+            _solve(problem, key, method, policy, deletions)
+            for key, method, deletions in jobs
+        ]
+
+    session = _prime_session(problem)
+    tasks = [
+        _Task(
+            key=key,
+            fn=_solve_task,
+            args=(key, method, policy, deletions),
+            serial=(
+                lambda key=key, method=method, deletions=deletions: _flatten(
+                    _solve(problem, key, method, policy, deletions)
+                )
+            ),
         )
-    return (
-        method,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
+        for key, method, deletions in jobs
+    ]
+    raw = _run_supervised(
+        session.document,
+        tasks,
+        max_workers=max_workers,
+        task_timeout=_policy_task_timeout(policy),
+        manifest=_session_manifest(session),
     )
-
-
-def _run_serial(
-    problem: DeletionPropagationProblem,
-    methods: Sequence[str],
-    policy: SolvePolicy | None = None,
-) -> list[PortfolioResult]:
-    results: list[PortfolioResult] = []
-    for method in methods:
-        _, seconds, payload, error, attempts, route = _solve_method_serial(
-            problem, method, policy
-        )
-        if payload is None:
-            results.append(
-                PortfolioResult(
-                    method,
-                    None,
-                    seconds,
-                    error,
-                    attempts=_attempt_records(attempts),
-                )
-            )
-        else:
-            results.append(
-                PortfolioResult(
-                    method,
-                    _rebuild(problem, method, payload),
-                    seconds,
-                    attempts=_attempt_records(attempts),
-                    route=route,
-                )
-            )
-    return results
+    return [
+        _rebuild(problem, method, outcome, deletions)
+        for outcome, (_, method, deletions) in zip(raw, jobs)
+    ]
 
 
 def run_portfolio(
@@ -737,60 +759,13 @@ def run_portfolio(
     methods = list(dict.fromkeys(methods))  # dedupe, keep order
     if not methods:
         raise SolverError("portfolio needs at least one method")
-    if max_workers is None:
-        max_workers = min(len(methods), os.cpu_count() or 1)
-    if max_workers <= 0 or len(methods) == 1:
-        return _run_serial(problem, methods, policy=policy)
-
-    session = _prime_session(problem)
-    doc = session.document
-    manifest = _session_manifest(session)
-    tasks = [
-        _Task(
-            key=method,
-            fn=_solve_method_task,
-            args=(method, policy),
-            serial=(
-                lambda method=method: _solve_method_serial(
-                    problem, method, policy
-                )
-            ),
+    jobs = [(method, method, None) for method in methods]
+    return [
+        PortfolioResult(method, propagation, seconds, error, attempts, route)
+        for method, seconds, propagation, error, attempts, route in _run(
+            problem, jobs, max_workers, policy
         )
-        for method in methods
     ]
-    raw = _run_supervised(
-        doc,
-        tasks,
-        max_workers=max_workers,
-        task_timeout=_policy_task_timeout(policy),
-        manifest=manifest,
-    )
-
-    by_method = {outcome[0]: outcome for outcome in raw}
-    results: list[PortfolioResult] = []
-    for method in methods:
-        _, seconds, payload, error, attempts, route = by_method[method]
-        if payload is None:
-            results.append(
-                PortfolioResult(
-                    method,
-                    None,
-                    seconds,
-                    error,
-                    attempts=_attempt_records(attempts),
-                )
-            )
-        else:
-            results.append(
-                PortfolioResult(
-                    method,
-                    _rebuild(problem, method, payload),
-                    seconds,
-                    attempts=_attempt_records(attempts),
-                    route=route,
-                )
-            )
-    return results
 
 
 def best_result(results: Iterable[PortfolioResult]) -> PortfolioResult:
@@ -833,45 +808,6 @@ def solve_portfolio(
     return winner.propagation
 
 
-def _solve_delta_serial(
-    problem: DeletionPropagationProblem,
-    index: int,
-    deletions: Mapping[str, list],
-    method: str,
-    policy: SolvePolicy | None = None,
-) -> RawOutcome:
-    """In-process twin of :func:`_solve_delta_task` bound to an explicit
-    problem — the serial fallback must not touch the module-level
-    ``_WORKER_DOC`` / ``_WORKER_PROBLEM`` cache, which belongs to worker
-    processes (a parent that is itself a pool worker would otherwise
-    have its cached problem clobbered)."""
-    from repro.core.faultinject import maybe_inject
-    from repro.core.registry import solve_report
-
-    start = time.perf_counter()
-    try:
-        maybe_inject("delta", index)
-        variant = problem.with_deletions(deletions)
-        report = solve_report(variant, method=method, policy=policy)
-    except Exception as exc:
-        return (
-            index,
-            time.perf_counter() - start,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            _error_attempts(exc),
-            None,
-        )
-    return (
-        index,
-        time.perf_counter() - start,
-        _facts_payload(report.propagation),
-        None,
-        [record.as_dict() for record in report.attempts],
-        report.route,
-    )
-
-
 def run_delta_batch(
     problem: DeletionPropagationProblem,
     requests: Sequence[Mapping[str, Sequence[Sequence[object]]]],
@@ -899,68 +835,21 @@ def run_delta_batch(
         {name: [list(values) for values in rows] for name, rows in req.items()}
         for req in requests
     ]
-    if max_workers is None:
-        max_workers = min(len(normalized), os.cpu_count() or 1)
 
-    # Compile the shared base once up front: serial tasks and the
-    # parent-side variant rebuilds below all rebind ΔV against this
+    # Compile the shared base once up front: every ΔV sibling, solved in
+    # process or rebuilt from a pooled payload, rebinds against this
     # session's arena instead of recompiling per request.
-    session = _prime_session(problem)
-
-    raw: list[RawOutcome]
-    if max_workers <= 0 or len(normalized) <= 1:
-        # In-process execution never touches the JSON document.
-        raw = [
-            _solve_delta_serial(problem, i, req, method, policy)
-            for i, req in enumerate(normalized)
-        ]
-    else:
-        doc = session.document
-        manifest = _session_manifest(session)
-        tasks = [
-            _Task(
-                key=i,
-                fn=_solve_delta_task,
-                args=(i, req, method, policy),
-                serial=(
-                    lambda i=i, req=req: _solve_delta_serial(
-                        problem, i, req, method, policy
-                    )
-                ),
-            )
-            for i, req in enumerate(normalized)
-        ]
-        raw = _run_supervised(
-            doc,
-            tasks,
-            max_workers=max_workers,
-            task_timeout=_policy_task_timeout(policy),
-            manifest=manifest,
-        )
-
+    _prime_session(problem)
+    jobs = [(index, method, req) for index, req in enumerate(normalized)]
     outcomes: list[DeltaOutcome] = []
-    for index, seconds, payload, error, attempts, route in sorted(
-        raw, key=lambda outcome: outcome[0]
+    for index, seconds, propagation, error, attempts, route in _run(
+        problem, jobs, max_workers, policy
     ):
-        records = _attempt_records(attempts)
-        if payload is None:
-            if strict:
-                raise SolverError(f"request #{index} failed: {error}")
-            outcomes.append(
-                DeltaOutcome(
-                    index, method, None, seconds, error, attempts=records
-                )
-            )
-            continue
-        variant = problem.with_deletions(normalized[index])
+        if propagation is None and strict:
+            raise SolverError(f"request #{index} failed: {error}")
         outcomes.append(
             DeltaOutcome(
-                index,
-                method,
-                _rebuild(variant, method, payload),
-                seconds,
-                attempts=records,
-                route=route,
+                index, method, propagation, seconds, error, attempts, route
             )
         )
     return outcomes

@@ -10,7 +10,9 @@ algorithm consumes:
   key-preserving queries.
 * ``dependents(fact)`` — the view tuples having some witness through the
   fact (for key-preserving queries: exactly the view tuples eliminated by
-  deleting it).
+  deleting it).  The index depends only on ``D`` and ``Q``, so it lives
+  on the :class:`~repro.relational.views.ViewSet` and is built once per
+  instance, whichever ΔV sibling asks first.
 * ``candidate_facts()`` — the facts occurring in witnesses of ΔV tuples;
   a minimum solution never deletes anything else, so every solver
   restricts its search to this set.
@@ -65,6 +67,21 @@ class DeletionPropagationProblem:
         deletions: Mapping[str, Iterable[tuple]],
         weights: Mapping[ViewTuple | tuple, float] | None = None,
     ):
+        self._bind(instance, queries, None, deletions, weights)
+
+    def _bind(
+        self,
+        instance: Instance,
+        queries: Sequence[ConjunctiveQuery],
+        views: ViewSet | None,
+        deletions: Mapping[str, Iterable[tuple]],
+        weights: Mapping[ViewTuple | tuple, float] | None,
+        delta_penalty: float = 1.0,
+    ) -> None:
+        """Validate and store every constructor input — the one place
+        queries, weights and ``delta_penalty`` are checked.  ``views``
+        of ``None`` materializes them; ``delta_penalty`` only applies to
+        the balanced variant."""
         if not queries:
             raise ProblemError("at least one query is required")
         names = [q.name for q in queries]
@@ -72,7 +89,9 @@ class DeletionPropagationProblem:
             raise ProblemError(f"duplicate query names in {names}")
         self.instance = instance
         self.queries: tuple[ConjunctiveQuery, ...] = tuple(queries)
-        self.views = ViewSet.materialize(queries, instance)
+        self.views = (
+            ViewSet.materialize(queries, instance) if views is None else views
+        )
         self.deletion = Deletion(self.views, deletions)
         self._weights: dict[ViewTuple, float] = {}
         for key, value in (weights or {}).items():
@@ -80,6 +99,10 @@ class DeletionPropagationProblem:
             if value < 0:
                 raise ProblemError(f"negative weight {value} for {vt!r}")
             self._weights[vt] = float(value)
+        if isinstance(self, BalancedDeletionPropagationProblem):
+            if delta_penalty < 0:
+                raise ProblemError(f"negative delta_penalty {delta_penalty}")
+            self.delta_penalty = float(delta_penalty)
 
     # ------------------------------------------------------------------
     # Paper notation (Table I)
@@ -135,20 +158,11 @@ class DeletionPropagationProblem:
         """The unique witness (key-preserving queries only)."""
         return self.views.view(vt.view).witness_of(vt.values)
 
-    @cached_property
-    def _dependents(self) -> dict[Fact, frozenset[ViewTuple]]:
-        index: dict[Fact, set[ViewTuple]] = {}
-        for vt in self.all_view_tuples():
-            for witness in self.witnesses(vt):
-                for fact in witness:
-                    index.setdefault(fact, set()).add(vt)
-        return {fact: frozenset(vts) for fact, vts in index.items()}
-
     def dependents(self, fact: Fact) -> frozenset[ViewTuple]:
         """View tuples with some witness through ``fact``.  For
         key-preserving queries these are exactly the view tuples
         eliminated when ``fact`` is deleted."""
-        return self._dependents.get(fact, frozenset())
+        return self.views.dependents(fact)
 
     @cached_property
     def _candidate_facts(self) -> tuple[Fact, ...]:
@@ -169,25 +183,21 @@ class DeletionPropagationProblem:
         """A sibling problem over the same instance/queries with a
         different ΔV.
 
-        The materialized views, weights, and (when already computed) the
-        fact → dependents index are *shared* with ``self`` — only the
-        :class:`~repro.relational.views.Deletion` is rebuilt, so binding
-        a new request against a compiled instance costs O(‖ΔV‖) instead
-        of re-materializing every view.  This is the worker-side hot
-        path of :func:`repro.core.portfolio.run_delta_batch`.
+        The materialized views — and with them the fact → dependents
+        index — and the weights are *shared* with ``self`` by reference;
+        only the :class:`~repro.relational.views.Deletion` is rebuilt, so
+        binding a new request against a compiled instance costs O(‖ΔV‖)
+        instead of re-materializing every view.  This is the hot path of
+        :func:`repro.core.portfolio.run_delta_batch`.
         """
         clone = object.__new__(type(self))
         clone.instance = self.instance
         clone.queries = self.queries
         clone.views = self.views
         clone.deletion = Deletion(self.views, deletions)
-        clone._weights = dict(self._weights)
+        clone._weights = self._weights
         if isinstance(self, BalancedDeletionPropagationProblem):
             clone.delta_penalty = self.delta_penalty
-        # The dependents index is ΔV-independent; reuse it when built.
-        # (candidate_facts depends on ΔV and must not be copied.)
-        if "_dependents" in self.__dict__:
-            clone.__dict__["_dependents"] = self.__dict__["_dependents"]
         # A compiled witness arena carries over via an O(‖V‖ + ‖ΔV‖)
         # rebind of its ΔV slices — never a full recompile.
         arena = getattr(self, "_compiled_arena", None)
@@ -222,23 +232,8 @@ class DeletionPropagationProblem:
         ``ViewSet.materialize``.  ``delta_penalty`` only applies when
         ``cls`` is the balanced variant.
         """
-        if not queries:
-            raise ProblemError("at least one query is required")
         problem = object.__new__(cls)
-        problem.instance = instance
-        problem.queries = tuple(queries)
-        problem.views = views
-        problem.deletion = Deletion(views, deletions)
-        problem._weights = {}
-        for key, value in (weights or {}).items():
-            vt = key if isinstance(key, ViewTuple) else ViewTuple(key[0], key[1])
-            if value < 0:
-                raise ProblemError(f"negative weight {value} for {vt!r}")
-            problem._weights[vt] = float(value)
-        if issubclass(cls, BalancedDeletionPropagationProblem):
-            if delta_penalty < 0:
-                raise ProblemError(f"negative delta_penalty {delta_penalty}")
-            problem.delta_penalty = float(delta_penalty)
+        problem._bind(instance, queries, views, deletions, weights, delta_penalty)
         return problem
 
     def eliminated_by(self, deleted: Iterable[Fact]) -> set[ViewTuple]:
@@ -308,7 +303,4 @@ class BalancedDeletionPropagationProblem(DeletionPropagationProblem):
         weights: Mapping[ViewTuple | tuple, float] | None = None,
         delta_penalty: float = 1.0,
     ):
-        super().__init__(instance, queries, deletions, weights)
-        if delta_penalty < 0:
-            raise ProblemError(f"negative delta_penalty {delta_penalty}")
-        self.delta_penalty = float(delta_penalty)
+        self._bind(instance, queries, None, deletions, weights, delta_penalty)

@@ -507,29 +507,8 @@ class SolveSession:
         return CompiledProblem.of(self.problem)
 
     # ------------------------------------------------------------------
-    # Witness structure (delegating to the problem's caches)
+    # Witness structure
     # ------------------------------------------------------------------
-
-    def witness(self, vt: ViewTuple) -> frozenset[Fact]:
-        return self.problem.witness(vt)
-
-    def witnesses(self, vt: ViewTuple) -> list[frozenset[Fact]]:
-        return self.problem.witnesses(vt)
-
-    def dependents(self, fact: Fact) -> frozenset[ViewTuple]:
-        return self.problem.dependents(fact)
-
-    def candidate_facts(self) -> tuple[Fact, ...]:
-        return self.problem.candidate_facts()
-
-    def weight(self, vt: ViewTuple) -> float:
-        return self.problem.weight(vt)
-
-    def deleted_view_tuples(self) -> list[ViewTuple]:
-        return self.problem.deleted_view_tuples()
-
-    def preserved_view_tuples(self) -> list[ViewTuple]:
-        return self.problem.preserved_view_tuples()
 
     def witness_map(self) -> Mapping[ViewTuple, frozenset[Fact]]:
         """``{vt: wit(vt)}`` over all view tuples (key-preserving only;

@@ -10,6 +10,7 @@ paper's weighted variant, Section IV), and know their witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ViewError
@@ -137,7 +138,12 @@ class View:
 
 
 class ViewSet:
-    """The paper's ``V = {V1..Vm}``: one view per query, unique names."""
+    """The paper's ``V = {V1..Vm}``: one view per query, unique names.
+
+    Immutable once built, so every ΔV sibling of a problem — local,
+    shared-memory attached, or a pool worker's cached copy — holds it by
+    reference and reads one fact → dependents index.
+    """
 
     def __init__(self, views: Iterable[View]):
         self._views: dict[str, View] = {}
@@ -187,6 +193,20 @@ class ViewSet:
 
     def queries(self) -> list[ConjunctiveQuery]:
         return [v.query for v in self]
+
+    @cached_property
+    def _dependents(self) -> dict[Fact, frozenset[ViewTuple]]:
+        index: dict[Fact, set[ViewTuple]] = {}
+        for vt in self.all_view_tuples():
+            for witness in self.view(vt.view).witnesses_of(vt.values):
+                for fact in witness:
+                    index.setdefault(fact, set()).add(vt)
+        return {fact: frozenset(vts) for fact, vts in index.items()}
+
+    def dependents(self, fact: Fact) -> frozenset[ViewTuple]:
+        """View tuples with some witness through ``fact`` (ΔV-independent;
+        built on first use, once per view set)."""
+        return self._dependents.get(fact, frozenset())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v.name}:{len(v)}" for v in self)

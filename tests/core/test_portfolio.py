@@ -20,6 +20,8 @@ from repro.core.portfolio import (
     solve_portfolio,
 )
 from repro.core.registry import solve
+from repro.core.resilience import SolvePolicy
+from repro.io.serialize import solution_to_dict
 from repro.workloads import random_problem, scaling_problem
 
 
@@ -32,20 +34,38 @@ def _by_method(results):
     return {r.method: r for r in results}
 
 
+def _wire(result):
+    """Everything a result puts on the wire except its timing fields:
+    the route, the attempt trace, and the solution document (which
+    carries the ``method`` label)."""
+    attempts = [
+        {k: v for k, v in record.as_dict().items() if k != "seconds"}
+        for record in result.attempts
+    ]
+    return result.route, attempts, solution_to_dict(result.propagation)
+
+
 class TestRunPortfolio:
     def test_pool_matches_serial(self, problem):
-        pooled = _by_method(run_portfolio(problem, max_workers=2))
-        serial = _by_method(run_portfolio(problem, max_workers=0))
-        assert set(pooled) == set(serial) == set(DEFAULT_PORTFOLIO)
-        for method, result in pooled.items():
-            assert result.ok, result.error
-            assert (
-                result.propagation.deleted_facts
-                == serial[method].propagation.deleted_facts
+        for policy in (None, SolvePolicy(retries=1)):
+            pooled = _by_method(
+                run_portfolio(problem, max_workers=2, policy=policy)
             )
-            assert result.propagation.objective() == pytest.approx(
-                serial[method].propagation.objective()
+            serial = _by_method(
+                run_portfolio(problem, max_workers=0, policy=policy)
             )
+            assert set(pooled) == set(serial) == set(DEFAULT_PORTFOLIO)
+            for method, result in pooled.items():
+                assert result.ok, result.error
+                assert (
+                    result.propagation.deleted_facts
+                    == serial[method].propagation.deleted_facts
+                )
+                assert result.propagation.objective() == pytest.approx(
+                    serial[method].propagation.objective()
+                )
+                assert _wire(result) == _wire(serial[method])
+                assert bool(result.attempts) == (policy is not None)
 
     def test_matches_direct_solver_calls(self, problem):
         for result in run_portfolio(problem, max_workers=0):
@@ -155,26 +175,33 @@ class TestRunDeltaBatch:
 
     def test_batch_matches_individual_solves(self, problem):
         requests = self._requests(problem)
-        batch = run_delta_batch(
-            problem, requests, method="greedy-min-damage", max_workers=2
-        )
-        serial = run_delta_batch(
-            problem, requests, method="greedy-min-damage", max_workers=0
-        )
-        assert len(batch) == len(requests)
-        for pooled, inproc, request in zip(batch, serial, requests):
-            assert isinstance(pooled, DeltaOutcome)
-            assert pooled.ok and inproc.ok
-            assert (
-                pooled.propagation.deleted_facts
-                == inproc.propagation.deleted_facts
+        for method, policy in (
+            ("greedy-min-damage", None),
+            ("auto", SolvePolicy(retries=1)),
+        ):
+            batch = run_delta_batch(
+                problem, requests, method=method, max_workers=2, policy=policy
             )
-            assert pooled.propagation.is_feasible()
-            # Each result is bound to a problem carrying its own ΔV.
-            assert {
-                vt.view
-                for vt in pooled.propagation.problem.deleted_view_tuples()
-            } == set(request)
+            serial = run_delta_batch(
+                problem, requests, method=method, max_workers=0, policy=policy
+            )
+            assert len(batch) == len(requests)
+            for pooled, inproc, request in zip(batch, serial, requests):
+                assert isinstance(pooled, DeltaOutcome)
+                assert pooled.ok and inproc.ok
+                assert (
+                    pooled.propagation.deleted_facts
+                    == inproc.propagation.deleted_facts
+                )
+                assert _wire(pooled) == _wire(inproc)
+                # The solution names the requested method, not the route.
+                assert solution_to_dict(inproc.propagation)["method"] == method
+                assert pooled.propagation.is_feasible()
+                # Each result is bound to a problem carrying its own ΔV.
+                assert {
+                    vt.view
+                    for vt in pooled.propagation.problem.deleted_view_tuples()
+                } == set(request)
 
     def test_failed_request_yields_error_outcome(self, problem):
         good = self._requests(problem, count=1)[0]

@@ -15,7 +15,10 @@ from repro.core.arena import CompiledProblem
 from repro.core.problem import DeletionPropagationProblem
 from repro.core.registry import ROUTE_TABLE, SOLVERS, solve, solve_report
 from repro.core.session import SolveSession
+from repro.core.shm import attach_session
 from repro.fuzz.generator import CASE_KINDS, make_case
+from repro.io.serialize import solution_to_dict
+from repro.relational.views import ViewSet
 from repro.workloads import (
     figure1_problem,
     figure1_problem_q4,
@@ -110,17 +113,53 @@ class TestRebindSharing:
             set(range(rebound.num_view_tuples)) - expected
         )
 
-    def test_rebind_shares_session_artifacts(self):
-        problem, arena, clone = self._base_and_clone()
-        base_session = SolveSession.of(problem)
-        clone_session = SolveSession.of(clone)
-        assert clone_session is not base_session
-        assert clone_session._shared is base_session._shared
-        base_profile = base_session.profile
-        clone_profile = clone_session.profile
-        assert clone_profile.norm_delta_v == clone.norm_delta_v
-        assert clone_profile.key_preserving == base_profile.key_preserving
-        assert clone_profile.forest_case == base_profile.forest_case
+    def test_rebind_shares_session_artifacts(self, monkeypatch):
+        builds = []
+        build = ViewSet._dependents.func
+        monkeypatch.setattr(
+            ViewSet._dependents,
+            "func",
+            lambda views: builds.append(views) or build(views),
+        )
+        for attached in (False, True):
+            self._check_rebind_shares_session_artifacts(attached, builds)
+
+    def _check_rebind_shares_session_artifacts(self, attached, builds):
+        problem, _, _ = self._base_and_clone()
+        sessions = []
+        if attached:
+            sessions.append(SolveSession.of(problem))
+            sessions.append(attach_session(sessions[0].export_shm()))
+            problem = sessions[1].problem
+        try:
+            base_session = SolveSession.of(problem)
+            vts = sorted(problem.all_view_tuples())
+            siblings = [
+                problem.with_deletions({vt.view: [list(vt.values)]})
+                for vt in vts[:4]
+            ]
+            for clone in siblings:
+                clone_session = SolveSession.of(clone)
+                assert clone_session is not base_session
+                assert clone_session._shared is base_session._shared
+                base_profile = base_session.profile
+                clone_profile = clone_session.profile
+                assert clone_profile.norm_delta_v == clone.norm_delta_v
+                assert clone_profile.key_preserving == base_profile.key_preserving
+                assert clone_profile.forest_case == base_profile.forest_case
+                solution_to_dict(solve(clone))
+            # Every solved sibling — local or shm-attached — read one
+            # fact → dependents index, built once for the instance.
+            assert builds.count(problem.views) == 1
+            facts = [f for f in sorted(problem.instance) if problem.dependents(f)]
+            assert facts
+            for clone in siblings:
+                assert clone.views is problem.views
+                for fact in facts:
+                    assert clone.dependents(fact) is problem.dependents(fact)
+        finally:
+            for session in reversed(sessions):
+                session.close()
 
     def test_artifacts_built_on_variant_serve_the_base(self):
         problem, arena, clone = self._base_and_clone()
